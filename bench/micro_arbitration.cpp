@@ -27,7 +27,6 @@
 #include "switch/observe.hpp"
 #include "sim/rng.hpp"
 #include "switch/crossbar.hpp"
-#include "switch/switch_batch.hpp"
 #include "traffic/workload.hpp"
 
 namespace {
@@ -259,54 +258,6 @@ void BM_SwitchStepPipeline(benchmark::State& state, bool specialize) {
                           static_cast<std::int64_t>(kChunk));
 }
 
-// B independent radix-64 hotspot switches stepped lock-step through
-// sw::SwitchBatch (the SoA batch plane behind `ssq_fuzz --batch` and the
-// batched shard runner). items_per_second counts simulated cycles SUMMED
-// over the batch, so B=1 is the plain serial rate and higher B shows the
-// scheduling overhead / cache-residency trade of the strided round-robin.
-void BM_SwitchBatchStep(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const std::uint32_t radix = 64;
-  const std::uint32_t gb = radix / 2;
-  std::vector<std::unique_ptr<sw::CrossbarSwitch>> sims;
-  std::vector<sw::CrossbarSwitch*> ptrs;
-  for (std::size_t b = 0; b < width; ++b) {
-    traffic::Workload w(radix);
-    for (InputId i = 0; i < gb; ++i) {
-      w.add_flow(bench::make_gb_flow(i, 0, 0.88 / gb, 8, 0.5));
-    }
-    for (InputId i = gb; i < radix; ++i) {
-      traffic::FlowSpec f;
-      f.src = i;
-      f.dst = 1 + (i % (radix - 1));
-      f.cls = TrafficClass::BestEffort;
-      f.len_min = f.len_max = 8;
-      f.inject = traffic::InjectKind::Bernoulli;
-      f.inject_rate = 0.3;
-      w.add_flow(f);
-    }
-    auto config = bench::paper_switch_config();
-    config.radix = radix;
-    config.ssvc.level_bits = 2;
-    config.ssvc.lsb_bits = 8;
-    config.seed += b;  // decorrelate the instances' injection draws
-    sims.push_back(
-        std::make_unique<sw::CrossbarSwitch>(config, std::move(w)));
-    sims.back()->warmup(2000);
-    ptrs.push_back(sims.back().get());
-  }
-  sw::SwitchBatch batch(ptrs);
-
-  constexpr Cycle kChunk = 1000;
-  for (auto _ : state) {
-    batch.run(kChunk);
-    benchmark::DoNotOptimize(sims.front()->now());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kChunk) *
-                          static_cast<std::int64_t>(width));
-}
-
 // Same stepping workload with the fault subsystem in its three states:
 // detached (the default null-pointer fast path — must be within noise of
 // BM_SwitchStep/obs_off), attached with an empty plan (outage checks only),
@@ -356,17 +307,12 @@ BENCHMARK_CAPTURE(BM_SsvcPickGrant, bitsliced,
     ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_SsvcPickGrant, scalar, ssq::core::ArbKernel::Scalar)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK_CAPTURE(BM_SsvcPickGrant, simd, ssq::core::ArbKernel::Simd)
-    ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(BM_CircuitArbitrate)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_SwitchStepRadix, bitsliced,
                   ssq::core::ArbKernel::Bitsliced)
     ->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK_CAPTURE(BM_SwitchStepRadix, scalar, ssq::core::ArbKernel::Scalar)
     ->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_SwitchStepRadix, simd, ssq::core::ArbKernel::Simd)
-    ->Arg(8)->Arg(64);
-BENCHMARK(BM_SwitchBatchStep)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK_CAPTURE(BM_SwitchStepSparse, ff_on, true);
 BENCHMARK_CAPTURE(BM_SwitchStepSparse, ff_off, false);
 BENCHMARK_CAPTURE(BM_SwitchStep, obs_off, ObsMode::Off);

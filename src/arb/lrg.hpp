@@ -47,12 +47,6 @@ class LrgArbiter final : public Arbiter {
            static_cast<std::uint32_t>(std::popcount(rows_[i]));
   }
 
-  /// Contiguous row storage (radix() words) for the vectorized kernel's
-  /// covering sweep.
-  [[nodiscard]] const std::uint64_t* rows_data() const noexcept {
-    return rows_.data();
-  }
-
   /// Directly installs a beats matrix (used by the circuit-equivalence tests
   /// to enumerate "all valid LRG states" as the paper's §4.1 verification
   /// does). Rows must encode a strict total order; enforced.

@@ -31,8 +31,6 @@ GridPoint parse_grid_point(const std::string& label) {
       p.opts.state_compare = false;
     } else if (tok == "scalar") {
       p.kernel = core::ArbKernel::Scalar;
-    } else if (tok == "simd") {
-      p.kernel = core::ArbKernel::Simd;
     } else if (tok == "noff") {
       p.fast_forward = false;
     } else if (tok.rfind("engine=", 0) == 0) {
@@ -42,7 +40,7 @@ GridPoint parse_grid_point(const std::string& label) {
     } else {
       throw ConfigError("unknown grid token '" + tok + "' in '" + label +
                         "' (expected default, monitor, no-circuit, no-state, "
-                        "scalar, simd, noff or engine=<name>, joined with "
+                        "scalar, noff or engine=<name>, joined with "
                         "'+')");
     }
   }

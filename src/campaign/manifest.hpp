@@ -40,7 +40,7 @@ struct GridPoint {
 
 /// Parses a grid label; throws ssq::ConfigError on an unknown token.
 /// Recognised tokens: default (no-op), monitor, no-circuit, no-state,
-/// scalar, simd, noff, engine=<islip|qps|swqps|ssvc>.
+/// scalar, noff, engine=<islip|qps|swqps|ssvc>.
 [[nodiscard]] GridPoint parse_grid_point(const std::string& label);
 
 /// Test-only planted harness defects: the robustness teeth. A "hang" makes

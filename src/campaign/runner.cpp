@@ -137,91 +137,14 @@ ShardOutcome run_shard(const std::string& dir, const Manifest& m,
     return ShardOutcome::IoError;
   }
 
-  // Lock-step batching: units are gathered (start records written) and then
-  // run together through check::run_scenario_batch. A batch never spans a
-  // grid point (the CheckOptions differ) and is flushed before any planted
-  // unit fires, so the journal a plant's crash leaves behind matches the
-  // serial runner's: every earlier unit has its done record.
-  struct PendingUnit {
-    std::uint64_t j = 0;
-    std::uint32_t attempt = 0;
-    std::uint64_t i = 0;           // scenario index (repro regeneration)
-    bool faulted = false;
-    bool runnable = false;         // false: generation failed, res is final
-    check::Scenario scenario;
-    check::RunResult res;
-  };
-  const std::uint32_t width = hooks.batch > 0 ? hooks.batch : 1;
-  std::vector<PendingUnit> pending;
-  std::vector<check::Scenario> batch_scenarios;
-  std::uint64_t batch_g = 0;  // grid point of the gathered batch
-
-  const auto flush = [&]() -> bool {
-    if (pending.empty()) return true;
-    if (hooks.beat) hooks.beat();
-    batch_scenarios.clear();
-    for (const PendingUnit& u : pending) {
-      if (u.runnable) batch_scenarios.push_back(u.scenario);
-    }
-    std::vector<check::RunResult> results =
-        check::run_scenario_batch(batch_scenarios, m.grid[batch_g].opts);
-    std::size_t r = 0;
-    for (PendingUnit& u : pending) {
-      if (u.runnable) u.res = std::move(results[r++]);
-      // A QoS violation in a fault-free monitored scenario is a finding in
-      // its own right even when every grant matched the reference.
-      if (!u.res.failed && !u.faulted && m.grid[batch_g].opts.monitor &&
-          u.res.violations_gb + u.res.violations_gl > 0) {
-        u.res.failed = true;
-        u.res.kind = "qos_violation";
-      }
-      if (u.res.failed) {
-        // Ship the repro (and incident snapshot when one was recorded)
-        // immediately — the journal records the verdict, the files carry
-        // the evidence. The campaign keeps running: one divergence must not
-        // cost the other 999,999 scenarios of a nightly sweep.
-        std::ostringstream body;
-        try {
-          check::write_scenario(body,
-                                check::generate_scenario(u.i, m.base_seed));
-          const std::string stem = dir + "/repro-" +
-                                   std::to_string(m.base_seed) + "-" +
-                                   std::to_string(u.j);
-          (void)write_file_atomic(stem + ".scenario", body.str());
-          if (!u.res.flight_dump.empty()) {
-            (void)write_file_atomic(stem + ".flight.jsonl",
-                                    u.res.flight_dump);
-          }
-        } catch (const ConfigError&) {
-          // generation failed above; nothing to serialise
-        }
-      }
-      if (!journal.append(done_record(u.j, u.attempt, u.res, u.faulted))) {
-        return false;
-      }
-      state.units[u.j].done = Record{};  // only is_done() is consulted below
-    }
-    pending.clear();
-    return true;
-  };
-
   for (std::uint64_t j = m.shard_begin(k); j < m.shard_end(k); ++j) {
     if (state.is_done(j)) continue;
-    if (hooks.drain && hooks.drain()) {
-      // Gathered units already carry start records: finish them (they are
-      // started work, not new work), then stop.
-      if (!flush()) return ShardOutcome::IoError;
-      return ShardOutcome::Drained;
-    }
+    if (hooks.drain && hooks.drain()) return ShardOutcome::Drained;
     if (hooks.beat) hooks.beat();
 
     const std::uint64_t g = m.grid_of(j);
     const std::uint64_t i = m.scenario_of(j);
     const std::uint32_t attempts = state.attempts(j);
-
-    if (!pending.empty() && (g != batch_g || pending.size() >= width)) {
-      if (!flush()) return ShardOutcome::IoError;
-    }
 
     if (attempts >= m.max_attempts) {
       // Every allowed attempt started and none finished: this unit wedges
@@ -243,8 +166,6 @@ ShardOutcome run_shard(const std::string& dir, const Manifest& m,
       continue;
     }
 
-    if (m.planted_at(j) != nullptr && !flush()) return ShardOutcome::IoError;
-
     Record s;
     s.type = Record::Type::Start;
     s.j = j;
@@ -265,29 +186,55 @@ ShardOutcome run_shard(const std::string& dir, const Manifest& m,
       std::this_thread::sleep_for(std::chrono::milliseconds(m.throttle_ms));
     }
 
-    PendingUnit u;
-    u.j = j;
-    u.attempt = attempts + 1;
-    u.i = i;
+    check::RunResult res;
+    bool faulted = false;
     try {
-      u.scenario = check::generate_scenario(i, m.base_seed);
-      u.scenario.kernel = m.grid[g].kernel;
-      u.scenario.fast_forward = m.grid[g].fast_forward;
+      check::Scenario scenario = check::generate_scenario(i, m.base_seed);
+      scenario.kernel = m.grid[g].kernel;
+      scenario.fast_forward = m.grid[g].fast_forward;
       if (m.grid[g].engine != arb::MatchKind::None) {
-        u.scenario.matching_engine = m.grid[g].engine;
-        u.scenario.packet_chaining = false;  // invalid under an engine
+        scenario.matching_engine = m.grid[g].engine;
+        scenario.packet_chaining = false;  // invalid under an engine
       }
-      u.faulted = u.scenario.has_faults();
-      u.runnable = true;
+      faulted = scenario.has_faults();
+      res = check::run_scenario(scenario, m.grid[g].opts);
+      // A QoS violation in a fault-free monitored scenario is a finding in
+      // its own right even when every grant matched the reference.
+      if (!res.failed && !faulted && m.grid[g].opts.monitor &&
+          res.violations_gb + res.violations_gl > 0) {
+        res.failed = true;
+        res.kind = "qos_violation";
+      }
     } catch (const ConfigError& e) {
-      u.res.failed = true;
-      u.res.kind = "config_error";
-      u.res.detail = e.what();
+      res.failed = true;
+      res.kind = "config_error";
+      res.detail = e.what();
     }
-    if (pending.empty()) batch_g = g;
-    pending.push_back(std::move(u));
+    if (res.failed) {
+      // Ship the repro (and incident snapshot when one was recorded)
+      // immediately — the journal records the verdict, the files carry the
+      // evidence. The campaign keeps running: one divergence must not cost
+      // the other 999,999 scenarios of a nightly sweep.
+      std::ostringstream body;
+      try {
+        check::write_scenario(body,
+                              check::generate_scenario(i, m.base_seed));
+        const std::string stem = dir + "/repro-" +
+                                 std::to_string(m.base_seed) + "-" +
+                                 std::to_string(j);
+        (void)write_file_atomic(stem + ".scenario", body.str());
+        if (!res.flight_dump.empty()) {
+          (void)write_file_atomic(stem + ".flight.jsonl", res.flight_dump);
+        }
+      } catch (const ConfigError&) {
+        // generation failed above; nothing to serialise
+      }
+    }
+    if (!journal.append(done_record(j, attempts + 1, res, faulted))) {
+      return ShardOutcome::IoError;
+    }
+    state.units[j].done = Record{};  // only is_done() is consulted below
   }
-  if (!flush()) return ShardOutcome::IoError;
 
   journal.close();
   // The marker is pure acceleration (claim scans skip finished shards

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -128,14 +127,5 @@ struct RunResult {
 /// checked invariants-only — the checker handles that automatically).
 [[nodiscard]] RunResult run_scenario(const Scenario& s,
                                      const CheckOptions& opts = {});
-
-/// Runs a batch of independent scenarios round-robin through one lock-step
-/// loop (the campaign/fuzz batch plane; see sw::SwitchBatch for the
-/// scheduling and parking discipline). results[i] is byte-identical to
-/// run_scenario(scenarios[i], opts): each instance receives exactly the
-/// serial step/fast-forward call sequence, only interleaved across
-/// instances — which no instance can observe, since they share no state.
-[[nodiscard]] std::vector<RunResult> run_scenario_batch(
-    std::span<const Scenario> scenarios, const CheckOptions& opts = {});
 
 }  // namespace ssq::check

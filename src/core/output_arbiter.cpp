@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "circuit/lane_masks.hpp"
-#include "core/simd.hpp"
 #include "obs/probe.hpp"
 
 namespace ssq::core {
@@ -161,22 +160,10 @@ InputId OutputQosArbiter::lrg_winner(std::uint64_t mask) const {
   // Same resolution as lrg_pick over the requesters in ascending input
   // order — the order the crossbar always presents. A valid LRG matrix is a
   // total order, so the winner is order-independent.
-  if (kernel_ == ArbKernel::Simd) {
-    // Vector sweep over all rows at once; the first covering requester is
-    // the first set bit of the intersection — the same input the per-bit
-    // scan below lands on. An empty intersection (corrupt matrix) falls
-    // through to the shared fault-tolerant degradation.
-    const std::uint64_t covering =
-        simd::covering_mask(lrg_.rows_data(), radix_, mask) & mask;
-    if (covering != 0) {
-      return static_cast<InputId>(std::countr_zero(covering));
-    }
-  } else {
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-      const auto i = static_cast<InputId>(std::countr_zero(m));
-      const std::uint64_t others = mask & ~(1ULL << i);
-      if ((lrg_.row(i) & others) == others) return i;
-    }
+  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+    const auto i = static_cast<InputId>(std::countr_zero(m));
+    const std::uint64_t others = mask & ~(1ULL << i);
+    if ((lrg_.row(i) & others) == others) return i;
   }
   if (lrg_.fault_tolerant()) {
     InputId best = static_cast<InputId>(std::countr_zero(mask));
@@ -354,14 +341,9 @@ InputId OutputQosArbiter::pick_masked(std::uint64_t gl_mask,
     const auto n = static_cast<std::uint32_t>(lane_mask_.size());
     std::uint64_t cand = 0;
     std::uint32_t lane = 0;
-    if (kernel_ == ArbKernel::Simd) {
-      lane = simd::first_hit_lane(lane_mask_.data(), n, gb_mask);
-      if (lane < n) cand = gb_mask & lane_mask_[lane];
-    } else {
-      for (; lane < n; ++lane) {
-        cand = gb_mask & lane_mask_[lane];
-        if (cand != 0) break;
-      }
+    for (; lane < n; ++lane) {
+      cand = gb_mask & lane_mask_[lane];
+      if (cand != 0) break;
     }
     SSQ_ENSURE(cand != 0 && "every input occupies exactly one lane");
     std::uint32_t min_level = lane;

@@ -70,8 +70,7 @@ class OutputQosArbiter {
   /// masks (bit i == input i requests in that class; an input may appear in
   /// at most one mask). Semantically identical to pick() over the same
   /// request set presented in ascending input order. Used directly by the
-  /// crossbar's mask path; pick() delegates here under ArbKernel::Bitsliced
-  /// and ArbKernel::Simd (the vectorized schedule of the same resolve).
+  /// crossbar's mask path; pick() delegates here under ArbKernel::Bitsliced.
   [[nodiscard]] InputId pick_masked(std::uint64_t gl_mask,
                                     std::uint64_t gb_mask,
                                     std::uint64_t be_mask, Cycle now);

@@ -63,18 +63,12 @@ enum class ArbKernel : std::uint8_t {
   /// (one bit per input), winner found by ANDing masks top-priority-first —
   /// O(lanes + words) per arbitration instead of O(radix) passes.
   Bitsliced = 1,
-  /// Vectorized form of the bit-sliced kernel: the GB min-level lane scan and
-  /// the LRG covering test sweep 4 lanes/rows per instruction (AVX2 when the
-  /// host supports it, a portable fixed-width fallback otherwise — see
-  /// core::simd::active_tier()). Same function, byte-identical picks.
-  Simd = 2,
 };
 
 [[nodiscard]] constexpr const char* to_string(ArbKernel k) noexcept {
   switch (k) {
     case ArbKernel::Scalar: return "scalar";
     case ArbKernel::Bitsliced: return "bitsliced";
-    case ArbKernel::Simd: return "simd";
   }
   return "?";
 }

@@ -331,8 +331,8 @@ class CrossbarSwitch {
   std::uint64_t ff_skipped_cycles_ = 0;
   std::uint64_t ff_idle_stepped_cycles_ = 0;
   // Eligibility depends only on the (immutable) config; computed once in
-  // the constructor so run loops and SwitchBatch read one flag per run
-  // instead of re-deriving it per iteration.
+  // the constructor so run loops read one flag per run instead of
+  // re-deriving it per iteration.
   bool ff_eligible_ = false;
   // The step pipeline selected for the current attachment state.
   void (CrossbarSwitch::*step_fn_)() = nullptr;
@@ -354,8 +354,8 @@ class CrossbarSwitch {
 
   // Traffic plumbing, indexed by FlowId.
   std::vector<traffic::Injector> injectors_;
-  // SoA bank advancing all strict-interior Bernoulli streams in lock-step
-  // (one simd::xoshiro_batch pass per cycle instead of a per-injector roll).
+  // SoA bank advancing all strict-interior Bernoulli streams together
+  // (one pass over the bank per cycle instead of a per-injector roll).
   // unique_ptr: injectors hold its address, which must survive a switch move.
   std::unique_ptr<traffic::BernoulliBank> bern_bank_;
   std::vector<RingQueue<Packet>> source_q_;

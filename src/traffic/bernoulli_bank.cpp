@@ -1,7 +1,5 @@
 #include "traffic/bernoulli_bank.hpp"
 
-#include "core/simd.hpp"
-
 namespace ssq::traffic {
 
 namespace {
@@ -35,7 +33,6 @@ std::size_t BernoulliBank::add(const Rng& rng, std::uint64_t thr, Cycle start) {
   s2_.push_back(st[2]);
   s3_.push_back(st[3]);
   thr_.push_back(thr);
-  res_.push_back(0);
   fire_.push_back(0);
   start_.push_back(start);
   if (start > max_start_) max_start_ = start;
@@ -46,11 +43,10 @@ void BernoulliBank::roll(Cycle now) {
   const std::size_t n = thr_.size();
   if (n == 0) return;
   if (now >= max_start_) {
-    // Steady state: every stream is live — one lock-step pass.
-    core::simd::xoshiro_batch(s0_.data(), s1_.data(), s2_.data(), s3_.data(),
-                              res_.data(), n);
+    // Steady state: every stream is live — one pass over all slots.
     for (std::size_t k = 0; k < n; ++k) {
-      fire_[k] = (res_[k] >> 11) < thr_[k] ? 1 : 0;
+      const std::uint64_t x = step_lane(s0_[k], s1_[k], s2_[k], s3_[k]);
+      fire_[k] = (x >> 11) < thr_[k] ? 1 : 0;
     }
     return;
   }

@@ -3,9 +3,8 @@
 // A radix-64 switch under Bernoulli load rolls up to 64 independent
 // xoshiro256** generators every cycle — over a third of the step budget when
 // done one injector at a time. The bank keeps those generators' state words
-// in parallel arrays (s0/s1/s2/s3) and advances all of them in one pass per
-// cycle through core::simd::xoshiro_batch, which runs 4-wide under AVX2 and
-// as a tight portable loop otherwise.
+// in parallel arrays (s0/s1/s2/s3) and advances all of them in one plain
+// per-slot loop per cycle, instead of one Injector call per flow.
 //
 // Byte-identity with the scalar path is structural, not approximate:
 //   * each slot holds exactly the state the Injector's private Rng held, so
@@ -62,7 +61,6 @@ class BernoulliBank {
   // xoshiro256** state, one lane per slot.
   std::vector<std::uint64_t> s0_, s1_, s2_, s3_;
   std::vector<std::uint64_t> thr_;   // bernoulli_threshold, in [1, 2^53]
-  std::vector<std::uint64_t> res_;   // raw draws from the last roll()
   std::vector<std::uint8_t> fire_;   // latched trial outcomes
   std::vector<Cycle> start_;         // per-slot first active cycle
   Cycle max_start_ = 0;  // all slots started once now >= this

@@ -7,6 +7,7 @@
 // in-process so failures localise to one layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -372,22 +373,30 @@ TEST(Manifest, TinyShardCountsStayUniform) {
   }
 }
 
-TEST(Manifest, SimdAndEngineGridTokensParse) {
-  const GridPoint simd = parse_grid_point("simd");
-  EXPECT_EQ(simd.kernel, core::ArbKernel::Simd);
+TEST(Manifest, EngineGridTokensParseAndSimdIsRejected) {
   const GridPoint eng = parse_grid_point("engine=islip");
   EXPECT_EQ(eng.engine, arb::MatchKind::Islip);
-  const GridPoint both = parse_grid_point("simd+engine=qps+monitor");
-  EXPECT_EQ(both.kernel, core::ArbKernel::Simd);
+  const GridPoint both = parse_grid_point("scalar+engine=qps+monitor");
+  EXPECT_EQ(both.kernel, core::ArbKernel::Scalar);
   EXPECT_EQ(both.engine, arb::MatchKind::Qps);
   EXPECT_TRUE(both.opts.monitor);
   // Round-trips through the manifest identity like any other token.
   Manifest m = tiny_manifest();
   m.grid = {both};
   const Manifest back = parse_manifest(m.serialize());
-  EXPECT_EQ(back.grid.at(0).kernel, core::ArbKernel::Simd);
+  EXPECT_EQ(back.grid.at(0).kernel, core::ArbKernel::Scalar);
   EXPECT_EQ(back.grid.at(0).engine, arb::MatchKind::Qps);
   EXPECT_THROW(parse_grid_point("engine=warp"), ConfigError);
+  // The retired vectorized-kernel token fails closed, naming what is valid.
+  try {
+    (void)parse_grid_point("simd");
+    ADD_FAILURE() << "simd grid token accepted";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'simd'"), std::string::npos) << what;
+    EXPECT_NE(what.find("scalar, noff or engine=<name>"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(Manifest, UnitToGridAndScenarioMapping) {
@@ -479,7 +488,7 @@ TEST_F(CampaignTest, EngineGridPointsRunChainingScenariosClean) {
   // die with a ConfigError and drain the attempt budget into quarantine.
   Manifest m = tiny_manifest();
   m.scenarios = 30;  // enough draws that some scenarios enable chaining
-  m.grid = {parse_grid_point("simd+engine=qps")};
+  m.grid = {parse_grid_point("engine=qps")};
   const std::string d = dir() + "/engine";
   init_campaign_dir(d, m);
   RunnerHooks hooks;
@@ -492,6 +501,43 @@ TEST_F(CampaignTest, EngineGridPointsRunChainingScenariosClean) {
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(r.quarantined, 0u);
   EXPECT_GT(r.grants, 0u);
+}
+
+TEST_F(CampaignTest, EveryUnitHeartbeatsBeforeItRuns) {
+  // The supervisor's watchdog bounds the silence between beats, so
+  // --scenario-timeout-ms only bounds one scenario if every scenario is
+  // preceded by its own beat. Count done records in the journal at each
+  // beat: at most one unit may finish between consecutive beats (and after
+  // the last one).
+  Manifest m = tiny_manifest();
+  m.scenarios = 20;
+  m.shards = 1;
+  const std::string d = dir() + "/c";
+  init_campaign_dir(d, m);
+  const auto done_records = [&] {
+    std::uint64_t n = 0;
+    for (const auto& [j, unit] : load_checkpoint(ckpt_path(d, 0)).units) {
+      (void)j;
+      if (unit.done.has_value()) ++n;
+    }
+    return n;
+  };
+  std::uint64_t beats = 0;
+  std::uint64_t last = 0;
+  std::uint64_t max_between = 0;
+  RunnerHooks hooks;
+  hooks.durable = false;
+  hooks.beat = [&] {
+    const std::uint64_t now = done_records();
+    max_between = std::max(max_between, now - last);
+    last = now;
+    ++beats;
+  };
+  ASSERT_EQ(run_shard(d, m, 0, hooks), ShardOutcome::Completed);
+  max_between = std::max(max_between, done_records() - last);
+  EXPECT_EQ(done_records(), m.total_units());
+  EXPECT_EQ(beats, m.total_units());
+  EXPECT_LE(max_between, 1u);
 }
 
 TEST_F(CampaignTest, DrainedShardResumesToByteIdenticalReport) {

@@ -117,8 +117,7 @@ TEST(Golden, TracesInvariantAcrossKernelAndFastForward) {
     trace_file.replace_extension(".trace");
     const std::string expected = slurp(trace_file);
     for (const auto kernel :
-         {core::ArbKernel::Scalar, core::ArbKernel::Bitsliced,
-          core::ArbKernel::Simd}) {
+         {core::ArbKernel::Scalar, core::ArbKernel::Bitsliced}) {
       for (const bool ff : {false, true}) {
         for (const bool specialize : {false, true}) {
           s.kernel = kernel;

@@ -210,11 +210,8 @@ TEST(KernelEquivalence, TwinArbitersAgreeOnEveryPick) {
                               ArbKernel::Scalar);
       OutputQosArbiter sliced(radix, params, alloc, policing, 4,
                               ArbKernel::Bitsliced);
-      OutputQosArbiter vec(radix, params, alloc, policing, 4,
-                           ArbKernel::Simd);
       ASSERT_EQ(scalar.kernel(), ArbKernel::Scalar);
       ASSERT_EQ(sliced.kernel(), ArbKernel::Bitsliced);
-      ASSERT_EQ(vec.kernel(), ArbKernel::Simd);
 
       Cycle now = 0;
       std::vector<ClassRequest> reqs;
@@ -222,7 +219,6 @@ TEST(KernelEquivalence, TwinArbitersAgreeOnEveryPick) {
         now += rng.below(40);
         scalar.advance_to(now);
         sliced.advance_to(now);
-        vec.advance_to(now);
 
         reqs.clear();
         for (InputId i = 0; i < radix; ++i) {
@@ -237,16 +233,11 @@ TEST(KernelEquivalence, TwinArbitersAgreeOnEveryPick) {
 
         const InputId w1 = scalar.pick(reqs, now);
         const InputId w2 = sliced.pick(reqs, now);
-        const InputId w3 = vec.pick(reqs, now);
         ASSERT_EQ(w1, w2) << "round " << round << " radix " << radix;
-        ASSERT_EQ(w1, w3) << "round " << round << " radix " << radix
-                          << " (simd)";
         if (w1 == kNoPort) continue;
         ASSERT_EQ(scalar.picked_class(), sliced.picked_class())
             << "round " << round;
-        ASSERT_EQ(scalar.picked_class(), vec.picked_class())
-            << "round " << round << " (simd)";
-        // Apply the grant to ALL so state stays in lock-step; the granted
+        // Apply the grant to BOTH so state stays in lock-step; the granted
         // class is the post-policing one (a demoted GL charges as BE).
         std::uint32_t len = 1;
         for (const auto& r : reqs) {
@@ -254,29 +245,26 @@ TEST(KernelEquivalence, TwinArbitersAgreeOnEveryPick) {
         }
         scalar.on_grant(w1, scalar.picked_class(), len, now);
         sliced.on_grant(w1, sliced.picked_class(), len, now);
-        vec.on_grant(w1, vec.picked_class(), len, now);
       }
       // Final cross-check: identical internal levels after 600 rounds.
       for (InputId i = 0; i < radix; ++i) {
         EXPECT_EQ(scalar.aux_vc(i).arb_level(), sliced.aux_vc(i).arb_level())
             << "input " << i;
-        EXPECT_EQ(scalar.aux_vc(i).arb_level(), vec.aux_vc(i).arb_level())
-            << "input " << i << " (simd)";
       }
       expect_mirrors_exact(sliced, "twin-final");
-      expect_mirrors_exact(vec, "twin-final-simd");
     }
   }
 }
 
-TEST(KernelEquivalence, SimdAgreesWithBitslicedUnderFaultsAndQuarantine) {
-  // The SIMD kernel's covering sweep and min-level scan replace the
-  // bitsliced word loops inside the SAME masked pick path, so the two must
-  // agree even when the lane mirrors go stale: injected counter faults put
-  // inputs on the dirty list, lane quarantines remap sensed levels, and
-  // scrub passes repair cells — all of which the masked path resolves via
-  // resync before picking. Both twins receive identical fault coordinates,
-  // so their state (including corruption) stays lock-step.
+TEST(KernelEquivalence, ScalarAgreesWithBitslicedUnderFaultsAndQuarantine) {
+  // The scalar kernel reads every input's sensed level directly; the
+  // bit-sliced kernel reads its lane mirrors, which go stale under faults:
+  // injected counter faults put inputs on the dirty list, lane quarantines
+  // remap sensed levels, and scrub passes repair cells — all of which the
+  // masked path resolves via resync before picking. Both twins receive
+  // identical fault coordinates, so their state (including corruption)
+  // stays lock-step and every pick must agree. Only the dirty list may
+  // differ: it is the bit-sliced kernel's own resync bookkeeping.
   Rng rng(0x51d0f);
   for (const std::uint32_t radix : {7u, 33u, 64u}) {
     const SsvcParams params = small_params(CounterPolicy::SubtractRealClock);
@@ -284,15 +272,15 @@ TEST(KernelEquivalence, SimdAgreesWithBitslicedUnderFaultsAndQuarantine) {
     const std::uint32_t lanes = params.gb_levels();
     OutputQosArbiter sliced(radix, params, alloc, GlPolicing::Stall, 4,
                             ArbKernel::Bitsliced);
-    OutputQosArbiter vec(radix, params, alloc, GlPolicing::Stall, 4,
-                         ArbKernel::Simd);
+    OutputQosArbiter scalar(radix, params, alloc, GlPolicing::Stall, 4,
+                            ArbKernel::Scalar);
 
     Cycle now = 0;
     std::vector<ClassRequest> reqs;
     for (int round = 0; round < 500; ++round) {
       now += rng.below(2 * params.epoch_cycles() + 1);
       sliced.advance_to(now);
-      vec.advance_to(now);
+      scalar.advance_to(now);
 
       switch (rng.below(6)) {
         case 0: {  // flip a stored-value bit in BOTH, behind the mirrors
@@ -300,24 +288,24 @@ TEST(KernelEquivalence, SimdAgreesWithBitslicedUnderFaultsAndQuarantine) {
           const auto bit = static_cast<std::uint32_t>(
               rng.below(params.level_bits + params.lsb_bits));
           sliced.aux_vc_mut(i).fault_flip_value(bit);
-          vec.aux_vc_mut(i).fault_flip_value(bit);
+          scalar.aux_vc_mut(i).fault_flip_value(bit);
           break;
         }
         case 1: {  // corrupt a thermometer code in BOTH
           const auto i = static_cast<InputId>(rng.below(radix));
           const auto lane = static_cast<std::uint32_t>(rng.below(lanes));
           sliced.aux_vc_mut(i).fault_flip_code(lane);
-          vec.aux_vc_mut(i).fault_flip_code(lane);
+          scalar.aux_vc_mut(i).fault_flip_code(lane);
           break;
         }
         case 2: {  // quarantine a lane in BOTH
           const auto lane = static_cast<std::uint32_t>(rng.below(lanes));
           sliced.quarantine_lane(lane);
-          vec.quarantine_lane(lane);
+          scalar.quarantine_lane(lane);
           break;
         }
         case 3: {  // scrub BOTH (repair counts must agree too)
-          EXPECT_EQ(sliced.scrub(now), vec.scrub(now)) << "round " << round;
+          EXPECT_EQ(sliced.scrub(now), scalar.scrub(now)) << "round " << round;
           break;
         }
         default:
@@ -334,28 +322,26 @@ TEST(KernelEquivalence, SimdAgreesWithBitslicedUnderFaultsAndQuarantine) {
                                  : TrafficClass::BestEffort,
                         1 + static_cast<std::uint32_t>(rng.below(8))});
       }
-      ASSERT_EQ(sliced.dirty_inputs(), vec.dirty_inputs())
-          << "round " << round << " radix " << radix;
 
       const InputId w1 = sliced.pick(reqs, now);
-      const InputId w2 = vec.pick(reqs, now);
+      const InputId w2 = scalar.pick(reqs, now);
       ASSERT_EQ(w1, w2) << "round " << round << " radix " << radix;
       if (w1 == kNoPort) continue;
-      ASSERT_EQ(sliced.picked_class(), vec.picked_class())
+      ASSERT_EQ(sliced.picked_class(), scalar.picked_class())
           << "round " << round;
       std::uint32_t len = 1;
       for (const auto& r : reqs) {
         if (r.input == w1) len = r.length;
       }
       sliced.on_grant(w1, sliced.picked_class(), len, now);
-      vec.on_grant(w1, vec.picked_class(), len, now);
+      scalar.on_grant(w1, scalar.picked_class(), len, now);
     }
     for (InputId i = 0; i < radix; ++i) {
-      EXPECT_EQ(sliced.aux_vc(i).arb_level(), vec.aux_vc(i).arb_level())
+      EXPECT_EQ(sliced.aux_vc(i).arb_level(), scalar.aux_vc(i).arb_level())
           << "input " << i << " radix " << radix;
     }
     expect_mirrors_exact(sliced, "faulted-twin-sliced");
-    expect_mirrors_exact(vec, "faulted-twin-simd");
+    expect_mirrors_exact(scalar, "faulted-twin-scalar");
     if (HasFailure()) return;
   }
 }

@@ -5,8 +5,8 @@
 // binaries):
 //   * steady-state switch throughput (cycles/sec and ns/step) at radix
 //     8/16/32/64 on a hotspot + best-effort workload,
-//   * the same radix-64 point with the scalar and SIMD arbitration kernels,
-//     so every kernel stays gated,
+//   * the same radix-64 point with the scalar arbitration kernel, so both
+//     kernels stay gated,
 //   * the radix-64 point again with a probe + QoS conformance monitor
 //     attached (the --monitor stepping cost),
 //   * a sparse (sub-10%-load, periodic-injection) radix-64 sweep with
@@ -18,9 +18,8 @@
 //   * iSLIP matching throughput on the stability-lab cell model (radix 64,
 //     0.9 uniform load) — the hot loop behind bench/stability_lab,
 //   * fuzz-campaign scenario throughput at 1 thread (plain and with the
-//     QoS conformance monitor attached to every scenario), through the
-//     lock-step batch plane (check::run_scenario_batch at width 8), and at
-//     --jobs threads (the parallel point is skipped honestly on single-CPU
+//     QoS conformance monitor attached to every scenario), and at --jobs
+//     threads (the parallel point is skipped honestly on single-CPU
 //     hosts),
 //   * the same serial campaign run through the ssq_campaign shard runner
 //     with its checkpoint journal attached — the per-scenario cost of
@@ -60,7 +59,6 @@
 #include "check/differential.hpp"
 #include "check/scenario.hpp"
 #include "check/stability.hpp"
-#include "core/simd.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -88,10 +86,10 @@ Measures the hot-path metrics gated in CI and writes BENCH_hotpath.json.
                       (default 0 = all hardware threads; on a single-CPU
                       host the parallel point is skipped and campaign_jobs
                       reports 1)
-  --kernel=bitsliced|scalar|simd
+  --kernel=bitsliced|scalar
                       arbitration kernel for the radix sweep (default
-                      bitsliced; the dedicated radix64_scalar and
-                      radix64_simd points always measure their own kernels)
+                      bitsliced; the dedicated radix64_scalar point always
+                      measures the scalar kernel)
   --json=PATH         report path (default BENCH_hotpath.json)
   --check[=PATH]      compare against a baseline report (default: the
                       report path) and exit 1 on regression; throughput
@@ -366,31 +364,6 @@ double measure_campaign_ckpt(std::uint64_t scenarios) {
          std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// Same scenario set, run in lock-step blocks of `width` through the SoA
-/// batch plane (check::run_scenario_batch) — the throughput `ssq_fuzz
-/// --batch` and the batched shard runner see. Verdict-identical to the
-/// serial point by construction; only wall clock differs.
-double measure_campaign_batched(std::uint64_t scenarios, std::uint64_t width) {
-  check::CheckOptions opts;
-  std::vector<check::Scenario> block;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t start = 0; start < scenarios; start += width) {
-    const std::uint64_t count = std::min(width, scenarios - start);
-    block.clear();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      block.push_back(check::generate_scenario(start + k, 1));
-    }
-    const std::vector<check::RunResult> results =
-        check::run_scenario_batch(block, opts);
-    for (const check::RunResult& r : results) {
-      if (r.failed) throw ConfigError("campaign scenario failed: " + r.kind);
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return static_cast<double>(scenarios) /
-         std::chrono::duration<double>(t1 - t0).count();
-}
-
 double measure_campaign(std::uint64_t scenarios, unsigned jobs,
                         const check::CheckOptions& opts = {}) {
   exec::ThreadPool pool(jobs);
@@ -544,10 +517,8 @@ int main(int argc, char** argv) {
           kernel = core::ArbKernel::Bitsliced;
         } else if (*vk == "scalar") {
           kernel = core::ArbKernel::Scalar;
-        } else if (*vk == "simd") {
-          kernel = core::ArbKernel::Simd;
         } else {
-          throw ConfigError("--kernel expects bitsliced, scalar or simd");
+          throw ConfigError("--kernel expects bitsliced or scalar");
         }
       } else if (auto v4 = opt_value(arg, "--json")) {
         if (v4->empty()) throw ConfigError("--json needs =PATH");
@@ -620,16 +591,6 @@ int main(int argc, char** argv) {
               << scalar64.ns_per_step << " ns/step)\n";
     metrics.emplace_back("cycles_per_sec_radix64_scalar",
                          scalar64.cycles_per_sec);
-    // The SIMD kernel likewise: always measured with its own dispatch (it
-    // falls back to the portable tier on non-AVX2 hosts, which is exactly
-    // what those hosts ship, so the gate stays meaningful there too).
-    const StepPoint simd64 = measure_steps(64, cycles, core::ArbKernel::Simd);
-    std::cout << "radix 64 simd kernel ("
-              << core::simd::to_string(core::simd::active_tier())
-              << " tier): " << static_cast<long>(simd64.cycles_per_sec)
-              << " cycles/s (" << simd64.ns_per_step << " ns/step)\n";
-    metrics.emplace_back("cycles_per_sec_radix64_simd",
-                         simd64.cycles_per_sec);
 
     const StepPoint mon64 = measure_monitored(64, cycles, kernel);
     std::cout << "radix 64 with conformance monitor: "
@@ -696,10 +657,6 @@ int main(int argc, char** argv) {
     std::cout << "campaign at 1 thread with monitor: " << sps_mon
               << " scenarios/s\n";
     metrics.emplace_back("campaign_scenarios_per_sec_monitor", sps_mon);
-    const double sps_batch = measure_campaign_batched(scenarios, 8);
-    std::cout << "campaign batched (width 8): " << sps_batch
-              << " scenarios/s (x" << sps_batch / sps1 << " vs serial)\n";
-    metrics.emplace_back("campaign_scenarios_per_sec_batched", sps_batch);
     const double sps_ckpt = measure_campaign_ckpt(scenarios);
     std::cout << "campaign with checkpoint journal: " << sps_ckpt
               << " scenarios/s (resume overhead x" << sps1 / sps_ckpt

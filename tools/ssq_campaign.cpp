@@ -48,13 +48,14 @@ Manifest (with --new; immutable afterwards):
                           of claiming, checkpointing and resume
   --grid=A,B,...          checking configurations; each label combines
                           tokens with '+': default, monitor, no-circuit,
-                          no-state, scalar, simd, noff (fully stepped — no
+                          no-state, scalar, noff (fully stepped — no
                           idle-cycle fast-forward), engine=<islip|qps|swqps|
                           ssvc> (default "default")
   --max-attempts=N        attempts before a crashing/hanging scenario is
                           quarantined (default 3)
   --scenario-timeout-ms=N watchdog: a worker silent this long is killed and
-                          restarted (default 30000)
+                          restarted (default 30000); workers beat before
+                          every scenario, so this bounds one scenario
   --throttle-ms=N         test pacing: sleep before each scenario (default 0)
   --plant-hang=J          test teeth: wedge forever at global unit J
   --plant-crash=J         test teeth: abort() at global unit J

@@ -56,12 +56,6 @@ Campaign:
                           verdicts and repros are byte-identical at any N
   --time-budget=SECONDS   stop starting new scenarios after this much wall
                           clock (default 0 = no budget)
-  --batch=B               with --jobs=1: run B scenarios lock-step through
-                          one batched loop (check::run_scenario_batch,
-                          default 8; 1 = the classic serial loop). Verdicts,
-                          stdout and repros are byte-identical at any B;
-                          cancel/time-budget checks coarsen to batch
-                          boundaries. Ignored when --jobs > 1
 
   SIGINT/SIGTERM cancel cooperatively: no new scenarios are dispatched, the
   completed index-prefix is reported, and the exit code is 130.
@@ -313,7 +307,6 @@ int main(int argc, char** argv) {
   std::uint64_t time_budget_s = 0;
   std::uint64_t heartbeat_s = 0;  // 0 = no heartbeat telemetry
   std::uint64_t jobs = 1;
-  std::uint64_t batch = 8;
   check::CheckOptions opts;
   std::optional<arb::MatchKind> engine_override;
   bool fast_forward = true;
@@ -342,11 +335,6 @@ int main(int argc, char** argv) {
         jobs = parse_u64(*vj, "--jobs");
         if (jobs == 0) jobs = exec::ThreadPool::hardware_threads();
         if (jobs > 512) throw ConfigError("--jobs too large (max 512)");
-      } else if (auto vb = opt_value(arg, "--batch")) {
-        batch = parse_u64(*vb, "--batch");
-        if (batch == 0 || batch > 64) {
-          throw ConfigError("--batch must be in [1, 64]");
-        }
       } else if (arg == "--no-circuit") {
         opts.circuit = false;
       } else if (arg == "--no-state") {
@@ -471,17 +459,16 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Campaign mode. Scenarios are processed in index-ordered blocks
-    // (`--batch` scenarios per block when serial, run lock-step through
-    // check::run_scenario_batch; jobs*4 when parallel). Scenario generation
-    // and execution depend only on (index, base_seed), results are reported
-    // in index order and a failing campaign acts on the LOWEST failing
-    // index, so verdicts, stdout, and repro files are byte-identical at any
-    // --jobs and any --batch value.
+    // Campaign mode. Scenarios are processed in index-ordered blocks (one
+    // scenario per block when serial — preserving the serial time-budget
+    // granularity — jobs*4 when parallel). Scenario generation and execution
+    // depend only on (index, base_seed), results are reported in index order
+    // and a failing campaign acts on the LOWEST failing index, so verdicts,
+    // stdout, and repro files are byte-identical at any --jobs value.
     const auto t0 = std::chrono::steady_clock::now();
     install_cancel_handlers();
     exec::ThreadPool pool(static_cast<unsigned>(jobs));
-    const std::uint64_t block = jobs <= 1 ? batch : jobs * 4;
+    const std::uint64_t block = jobs <= 1 ? 1 : jobs * 4;
     std::uint64_t ran = 0;
     bool interrupted = false;
     CampaignStats campaign;
@@ -515,53 +502,24 @@ int main(int argc, char** argv) {
       // completed set is always the index prefix [0, done), so partial
       // totals stay deterministic in index order.
       std::size_t done = 0;
-      std::vector<Outcome> outcomes;
-      if (jobs <= 1) {
-        // Serial batch plane: the block's scenarios advance round-robin
-        // through one lock-step loop. results[k] is byte-identical to
-        // run_scenario(scenarios[k], opts) — see check::run_scenario_batch.
-        std::vector<check::Scenario> block_scenarios;
-        block_scenarios.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t k = 0; k < count; ++k) {
-          block_scenarios.push_back(make_scenario(start + k));
-        }
-        std::vector<check::RunResult> results =
-            check::run_scenario_batch(block_scenarios, opts);
-        outcomes.resize(static_cast<std::size_t>(count));
-        for (std::uint64_t k = 0; k < count; ++k) {
-          const check::Scenario& s = block_scenarios[k];
-          Outcome& o = outcomes[k];
-          o.has_faults = s.has_faults();
-          o.result = std::move(results[k]);
-          if (!o.result.failed && !quiet) {
-            std::ostringstream os;
-            os << "ok " << s.name << " radix=" << s.radix
-               << " cycles=" << s.cycles
-               << " grants=" << o.result.grants_checked << "\n";
-            o.line = os.str();
-          }
-        }
-        done = static_cast<std::size_t>(count);
-      } else {
-        outcomes = exec::run_batch<Outcome>(
-            pool, static_cast<std::size_t>(count),
-            [&](std::size_t k) {
-              const std::uint64_t i = start + k;
-              const check::Scenario s = make_scenario(i);
-              Outcome o;
-              o.has_faults = s.has_faults();
-              o.result = check::run_scenario(s, opts);
-              if (!o.result.failed && !quiet) {
-                std::ostringstream os;
-                os << "ok " << s.name << " radix=" << s.radix
-                   << " cycles=" << s.cycles
-                   << " grants=" << o.result.grants_checked << "\n";
-                o.line = os.str();
-              }
-              return o;
-            },
-            &g_cancel, &done);
-      }
+      std::vector<Outcome> outcomes = exec::run_batch<Outcome>(
+          pool, static_cast<std::size_t>(count),
+          [&](std::size_t k) {
+            const std::uint64_t i = start + k;
+            const check::Scenario s = make_scenario(i);
+            Outcome o;
+            o.has_faults = s.has_faults();
+            o.result = check::run_scenario(s, opts);
+            if (!o.result.failed && !quiet) {
+              std::ostringstream os;
+              os << "ok " << s.name << " radix=" << s.radix
+                 << " cycles=" << s.cycles
+                 << " grants=" << o.result.grants_checked << "\n";
+              o.line = os.str();
+            }
+            return o;
+          },
+          &g_cancel, &done);
       if (done < count) interrupted = true;
       for (std::uint64_t k = 0; k < done; ++k) {
         const std::uint64_t i = start + k;

@@ -52,8 +52,8 @@ Arbitration:
   --level-bits=K --lsb-bits=K --vtick-bits=K --vtick-shift=K
                           SSVC counter geometry (defaults 4/5/8/2)
   --arb-cycles=N          arbitration cycles per grant (default 1)
-  --kernel=bitsliced | scalar | simd
-                          SSVC arbitration kernel (default bitsliced; all
+  --kernel=bitsliced | scalar
+                          SSVC arbitration kernel (default bitsliced; both
                           produce byte-identical grants — see
                           docs/PERFORMANCE.md)
   --no-fast-forward       disable idle-cycle fast-forward (grants and
@@ -349,10 +349,8 @@ int run(int argc, char** argv) {
         config.kernel = core::ArbKernel::Bitsliced;
       } else if (*vk == "scalar") {
         config.kernel = core::ArbKernel::Scalar;
-      } else if (*vk == "simd") {
-        config.kernel = core::ArbKernel::Simd;
       } else {
-        throw ssq::ConfigError("--kernel expects bitsliced, scalar or simd");
+        throw ssq::ConfigError("--kernel expects bitsliced or scalar");
       }
     } else if (arg == "--no-fast-forward") {
       config.fast_forward = false;
