@@ -1,5 +1,7 @@
 #include "check/differential.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "sim/contracts.hpp"
@@ -66,11 +68,17 @@ DifferentialChecker::DifferentialChecker(sw::CrossbarSwitch& sim,
     } else {
       opts_.circuit = false;
     }
+    if (cfg.ssvc.policy != core::CounterPolicy::None) {
+      // The first wrap any arbiter can take from here on: the next epoch
+      // multiple at or after the cycle about to be stepped (cycle 0 never
+      // wraps).
+      const Cycle epoch = cfg.ssvc.epoch_cycles();
+      next_sweep_ = std::max(epoch, (sim_.now() + epoch - 1) / epoch * epoch);
+    }
   }
 
   reqs_.resize(radix);
   granted_.assign(radix, kNoPort);
-  input_granted_.assign(radix, 0);
   const std::size_t flows = sim_.workload().num_flows();
   created_.assign(flows, 0);
   buffered_.assign(flows, 0);
@@ -113,7 +121,14 @@ bool DifferentialChecker::run(Cycle cycles) {
     }
     if (!step()) return false;
   }
-  return true;
+  if (opts_.differential && unswept_) {
+    // Outputs nobody granted since the last sweep were not compared; close
+    // the run with every output at the last stepped cycle. No advance_to()
+    // here: the arbiters already stand at that cycle.
+    unswept_ = false;
+    sweep_state(last_cycle_, sim_.config().radix - 1);
+  }
+  return !divergence_.has_value();
 }
 
 void DifferentialChecker::handle(const obs::Event& e) {
@@ -122,9 +137,13 @@ void DifferentialChecker::handle(const obs::Event& e) {
     case obs::EventKind::PacketCreated:
       ++created_[static_cast<std::size_t>(e.flow)];
       break;
-    case obs::EventKind::PacketBuffered:
-      ++buffered_[static_cast<std::size_t>(e.flow)];
+    case obs::EventKind::PacketBuffered: {
+      // Only a move of buffered (delivered) can break its own bound; a
+      // flow no event moved this cycle still holds last cycle's check.
+      const auto f = static_cast<std::size_t>(e.flow);
+      if (++buffered_[f] > created_[f]) conservation_suspect_ = true;
       break;
+    }
     case obs::EventKind::Request: {
       if (single_request_ && ((requesting_inputs_ >> e.input) & 1ULL) != 0) {
         fail(e.cycle, e.output, "duplicate_request",
@@ -133,6 +152,7 @@ void DifferentialChecker::handle(const obs::Event& e) {
         return;
       }
       requesting_inputs_ |= 1ULL << e.input;
+      requested_outputs_ |= 1ULL << e.output;
       reqs_[e.output].push_back(
           core::ClassRequest{e.input, e.cls, e.length != 0 ? e.length : 1});
       break;
@@ -143,9 +163,11 @@ void DifferentialChecker::handle(const obs::Event& e) {
     case obs::EventKind::ChainGrant:
       check_grant(e, /*chained=*/true);
       break;
-    case obs::EventKind::Delivered:
-      ++delivered_[static_cast<std::size_t>(e.flow)];
+    case obs::EventKind::Delivered: {
+      const auto f = static_cast<std::size_t>(e.flow);
+      if (++delivered_[f] > buffered_[f]) conservation_suspect_ = true;
       break;
+    }
     default:
       break;  // arbitration internals, faults, repairs: not checked here
   }
@@ -165,7 +187,7 @@ void DifferentialChecker::check_grant(const obs::Event& e, bool chained) {
              std::to_string(i));
     return;
   }
-  if (input_granted_[i] != 0) {
+  if (((granted_inputs_ >> i) & 1ULL) != 0) {
     fail(e.cycle, o, "double_grant_input",
          "input " + std::to_string(i) +
              " granted twice in one cycle (second grant by output " +
@@ -173,7 +195,8 @@ void DifferentialChecker::check_grant(const obs::Event& e, bool chained) {
     return;
   }
   granted_[o] = i;
-  input_granted_[i] = 1;
+  granted_outputs_ |= 1ULL << o;
+  granted_inputs_ |= 1ULL << i;
 
   if (progress_guard_ && !chained) {
     // Engine mode reports every eligible (input, output) pair as a Request;
@@ -284,20 +307,24 @@ void DifferentialChecker::check_circuit(const obs::Event& e,
 }
 
 void DifferentialChecker::end_cycle(Cycle t) {
+  last_cycle_ = t;
   if (opts_.differential) {
-    for (OutputId o = 0; o < sim_.config().radix; ++o) {
+    // Only an output with requests but no grant can miss one. Set bits are
+    // visited in ascending order, so the first hit is the one a loop over
+    // every output reports.
+    for (std::uint64_t m = requested_outputs_ & ~granted_outputs_; m != 0;
+         m &= m - 1) {
+      const auto o = static_cast<OutputId>(std::countr_zero(m));
+      // The simulator serviced nothing at this output; the reference must
+      // agree (only policer-stalled GL requests present).
       refs_[o].advance_to(t);
-      if (!reqs_[o].empty() && granted_[o] == kNoPort) {
-        // The simulator serviced nothing at this output; the reference must
-        // agree (only policer-stalled GL requests present).
-        const ReferenceOutput::Decision d = refs_[o].pick(reqs_[o], t);
-        if (d.winner != kNoPort) {
-          fail(t, o, "missed_grant",
-               "simulator granted nothing, reference picked input " +
-                   std::to_string(d.winner) + " (" + class_name(d.cls) +
-                   ")\n" + dump_requests(o) + dump_output_state(o));
-          return;
-        }
+      const ReferenceOutput::Decision d = refs_[o].pick(reqs_[o], t);
+      if (d.winner != kNoPort) {
+        fail(t, o, "missed_grant",
+             "simulator granted nothing, reference picked input " +
+                 std::to_string(d.winner) + " (" + class_name(d.cls) + ")\n" +
+                 dump_requests(o) + dump_output_state(o));
+        return;
       }
     }
     if (opts_.state_compare) {
@@ -306,30 +333,16 @@ void DifferentialChecker::end_cycle(Cycle t) {
     }
   }
 
-  // Packet conservation: a flow can never deliver more than it buffered nor
-  // buffer more than it created. Holds in every mode, faults included.
-  for (std::size_t f = 0; f < created_.size(); ++f) {
-    if (buffered_[f] > created_[f] || delivered_[f] > buffered_[f]) {
-      fail(t, kNoPort, "conservation",
-           "flow " + std::to_string(f) + ": created " +
-               std::to_string(created_[f]) + ", buffered " +
-               std::to_string(buffered_[f]) + ", delivered " +
-               std::to_string(delivered_[f]));
-      return;
-    }
+  if (conservation_suspect_) {
+    check_conservation(t);
+    if (divergence_.has_value()) return;
+    conservation_suspect_ = false;  // transient: created later this cycle
   }
 
   if (progress_guard_) {
     // Work conservation under a matching engine: requests pending but zero
     // grants switch-wide, sustained past the threshold, is starvation.
-    bool any_grant = false;
-    for (const InputId g : granted_) {
-      if (g != kNoPort) {
-        any_grant = true;
-        break;
-      }
-    }
-    if (any_grant || requesting_inputs_ == 0) {
+    if (granted_outputs_ != 0 || requesting_inputs_ == 0) {
       stall_streak_ = 0;
     } else if (++stall_streak_ >= kEngineStallThreshold) {
       fail(t, kNoPort, "starvation",
@@ -340,64 +353,105 @@ void DifferentialChecker::end_cycle(Cycle t) {
     }
   }
 
-  for (auto& r : reqs_) r.clear();
-  granted_.assign(granted_.size(), kNoPort);
-  input_granted_.assign(input_granted_.size(), 0);
+  for (std::uint64_t m = requested_outputs_; m != 0; m &= m - 1) {
+    reqs_[static_cast<OutputId>(std::countr_zero(m))].clear();
+  }
+  for (std::uint64_t m = granted_outputs_; m != 0; m &= m - 1) {
+    granted_[static_cast<OutputId>(std::countr_zero(m))] = kNoPort;
+  }
+  requested_outputs_ = 0;
+  granted_outputs_ = 0;
+  granted_inputs_ = 0;
   requesting_inputs_ = 0;
 }
 
-void DifferentialChecker::compare_state(Cycle t) {
-  const std::uint32_t radix = sim_.config().radix;
-  for (OutputId o = 0; o < radix; ++o) {
-    auto& arb = sim_.qos_arbiter(o);
-    arb.advance_to(t);
-    const ReferenceOutput& ref = refs_[o];
-    const auto mismatch = [&](const std::string& what) {
-      fail(t, o, "state_mismatch", what + '\n' + dump_output_state(o));
-    };
-    if (arb.epoch_rt() != ref.rt()) {
-      mismatch("epoch real time: sim " + std::to_string(arb.epoch_rt()) +
-               ", ref " + std::to_string(ref.rt()));
+void DifferentialChecker::check_conservation(Cycle t) {
+  // A flow can never deliver more than it buffered nor buffer more than it
+  // created. Holds in every mode, faults included.
+  for (std::size_t f = 0; f < created_.size(); ++f) {
+    if (buffered_[f] > created_[f] || delivered_[f] > buffered_[f]) {
+      fail(t, kNoPort, "conservation",
+           "flow " + std::to_string(f) + ": created " +
+               std::to_string(created_[f]) + ", buffered " +
+               std::to_string(buffered_[f]) + ", delivered " +
+               std::to_string(delivered_[f]));
       return;
-    }
-    if (arb.gl_tracker().clock() != ref.gl_clock()) {
-      mismatch("GL clock: sim " + std::to_string(arb.gl_tracker().clock()) +
-               ", ref " + std::to_string(ref.gl_clock()));
-      return;
-    }
-    if (!arb.gl_tracker().sane(t)) {
-      mismatch("GL clock violates the Stall policing bound");
-      return;
-    }
-    for (InputId i = 0; i < radix; ++i) {
-      const auto& vc = arb.aux_vc(i);
-      if (vc.value() > vc.cap()) {
-        mismatch("auxVC[" + std::to_string(i) + "] above its cap: " +
-                 std::to_string(vc.value()) + " > " + std::to_string(vc.cap()));
-        return;
-      }
-      if (vc.value() != ref.value(i)) {
-        mismatch("auxVC[" + std::to_string(i) + "] value: sim " +
-                 std::to_string(vc.value()) + ", ref " +
-                 std::to_string(ref.value(i)));
-        return;
-      }
-      if (arb.gb_level(i) != ref.level(i) ||
-          arb.sensed_gb_level(i) != ref.level(i)) {
-        mismatch("GB level[" + std::to_string(i) + "]: sim " +
-                 std::to_string(arb.gb_level(i)) + " (sensed " +
-                 std::to_string(arb.sensed_gb_level(i)) + "), ref " +
-                 std::to_string(ref.level(i)));
-        return;
-      }
-      if (arb.lrg().rank(i) != ref.lrg_rank(i)) {
-        mismatch("LRG rank[" + std::to_string(i) + "]: sim " +
-                 std::to_string(arb.lrg().rank(i)) + ", ref " +
-                 std::to_string(ref.lrg_rank(i)));
-        return;
-      }
     }
   }
+}
+
+void DifferentialChecker::compare_state(Cycle t) {
+  const bool sweep = t >= next_sweep_;
+  const std::uint32_t radix = sim_.config().radix;
+  for (OutputId o = 0; o < radix; ++o) {
+    // Every arbiter still advances every stepped cycle, so its epoch wraps
+    // (and their probe events) land on the same cycles as in a bare run.
+    sim_.qos_arbiter(o).advance_to(t);
+    if (!sweep && ((granted_outputs_ >> o) & 1ULL) == 0) continue;
+    refs_[o].advance_to(t);
+    if (!state_mismatch(o, t).empty()) {
+      // Report what a sweep over every advanced output finds first.
+      sweep_state(t, o);
+      return;
+    }
+  }
+  if (sweep) {
+    const Cycle epoch = sim_.config().ssvc.epoch_cycles();
+    next_sweep_ = (t / epoch + 1) * epoch;
+  }
+  unswept_ = !sweep;
+}
+
+void DifferentialChecker::sweep_state(Cycle t, OutputId last) {
+  for (OutputId o = 0; o <= last; ++o) {
+    refs_[o].advance_to(t);
+    const std::string what = state_mismatch(o, t);
+    if (!what.empty()) {
+      fail(t, o, "state_mismatch", what + '\n' + dump_output_state(o));
+      return;
+    }
+  }
+}
+
+std::string DifferentialChecker::state_mismatch(OutputId o, Cycle t) const {
+  const auto& arb = sim_.qos_arbiter(o);
+  const ReferenceOutput& ref = refs_[o];
+  if (arb.epoch_rt() != ref.rt()) {
+    return "epoch real time: sim " + std::to_string(arb.epoch_rt()) +
+           ", ref " + std::to_string(ref.rt());
+  }
+  if (arb.gl_tracker().clock() != ref.gl_clock()) {
+    return "GL clock: sim " + std::to_string(arb.gl_tracker().clock()) +
+           ", ref " + std::to_string(ref.gl_clock());
+  }
+  if (!arb.gl_tracker().sane(t)) {
+    return "GL clock violates the Stall policing bound";
+  }
+  for (InputId i = 0; i < sim_.config().radix; ++i) {
+    const auto& vc = arb.aux_vc(i);
+    if (vc.value() > vc.cap()) {
+      return "auxVC[" + std::to_string(i) + "] above its cap: " +
+             std::to_string(vc.value()) + " > " + std::to_string(vc.cap());
+    }
+    if (vc.value() != ref.value(i)) {
+      return "auxVC[" + std::to_string(i) + "] value: sim " +
+             std::to_string(vc.value()) + ", ref " +
+             std::to_string(ref.value(i));
+    }
+    if (arb.gb_level(i) != ref.level(i) ||
+        arb.sensed_gb_level(i) != ref.level(i)) {
+      return "GB level[" + std::to_string(i) + "]: sim " +
+             std::to_string(arb.gb_level(i)) + " (sensed " +
+             std::to_string(arb.sensed_gb_level(i)) + "), ref " +
+             std::to_string(ref.level(i));
+    }
+    if (arb.lrg().rank(i) != ref.lrg_rank(i)) {
+      return "LRG rank[" + std::to_string(i) + "]: sim " +
+             std::to_string(arb.lrg().rank(i)) + ", ref " +
+             std::to_string(ref.lrg_rank(i));
+    }
+  }
+  return {};
 }
 
 void DifferentialChecker::fail(Cycle t, OutputId o, std::string kind,

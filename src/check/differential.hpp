@@ -14,9 +14,20 @@
 // plus per-cycle invariants that hold in every mode, faults included:
 // at most one grant per output and per input per cycle, and conservation of
 // packets (delivered <= buffered <= created, per flow). In differential mode
-// it additionally deep-compares arbiter state every cycle (auxVC values,
-// thermometer levels — stored and sensed —, LRG ranks, GL clock, epoch
-// real time) and enforces the GL policing bound and counter-cap safety.
+// it additionally deep-compares arbiter state (auxVC values, thermometer
+// levels — stored and sensed —, LRG ranks, GL clock, epoch real time) and
+// enforces the GL policing bound and counter-cap safety.
+//
+// The deep compare is event-driven. An output's arbiter state moves only at
+// a grant there (a halve/reset management event fires inside that grant)
+// and at a real-time epoch wrap, and in differential mode nothing else
+// writes it: a fault injector — and with it the scrubber — turns the
+// differential legs off. So each stepped cycle compares the outputs granted
+// that cycle, and a full ascending sweep of every output runs on the first
+// stepped cycle at or past each epoch boundary, at the end of run(), and
+// before any state mismatch is reported. Every transition is still compared
+// in the cycle it happens, and the reported Divergence is the one a
+// sweep-every-cycle checker would report.
 //
 // The first mismatch is captured as a Divergence with a full state dump of
 // both sides; checking stops there so the dump describes the *first* broken
@@ -44,7 +55,8 @@ struct CheckOptions {
   bool differential = true;
   /// Third leg: bit-level circuit arbitration per grant (differential only).
   bool circuit = true;
-  /// Deep per-cycle arbiter state comparison (differential only).
+  /// Deep arbiter state comparison (differential only): granted outputs
+  /// every cycle, every output at epoch boundaries and at the end of run().
   bool state_compare = true;
   /// Deliberate defect planted in the reference model (tests only).
   PlantedBug bug = PlantedBug::None;
@@ -83,7 +95,8 @@ class DifferentialChecker {
   /// divergence has been recorded (the switch is no longer stepped).
   bool step();
 
-  /// step() up to `cycles` times; returns false if a divergence stopped it.
+  /// step() up to `cycles` times, then a full state sweep of every output;
+  /// returns false if a divergence stopped it.
   bool run(Cycle cycles);
 
   /// For drivers that call sim.fast_forward() themselves instead of going
@@ -114,6 +127,15 @@ class DifferentialChecker {
                      bool gl_ok);
   void end_cycle(Cycle t);
   void compare_state(Cycle t);
+  /// Why output o's arbiter state disagrees with its reference at `t`
+  /// (both already advanced to `t`), or "" when it matches.
+  [[nodiscard]] std::string state_mismatch(OutputId o, Cycle t) const;
+  /// Full ascending sweep of outputs 0..last at `t` (their arbiters already
+  /// advanced): records the first mismatch, if any.
+  void sweep_state(Cycle t, OutputId last);
+  /// Packet conservation over every flow, ascending; fails on the first
+  /// flow that breaks it.
+  void check_conservation(Cycle t);
   void fail(Cycle t, OutputId o, std::string kind, std::string detail);
   [[nodiscard]] std::string dump_output_state(OutputId o) const;
   [[nodiscard]] std::string dump_requests(OutputId o) const;
@@ -127,9 +149,20 @@ class DifferentialChecker {
   std::vector<ReferenceOutput> refs_;             // per output
   std::vector<std::vector<core::ClassRequest>> reqs_;  // per output, this cycle
   std::vector<InputId> granted_;                  // per output, this cycle
-  std::vector<std::uint8_t> input_granted_;       // per input, this cycle
+  // This cycle's bitmasks (radix <= 64): outputs with >= 1 request, outputs
+  // granted (Grant or ChainGrant) and inputs granted.
+  std::uint64_t requested_outputs_ = 0;
+  std::uint64_t granted_outputs_ = 0;
+  std::uint64_t granted_inputs_ = 0;
   bool single_request_ = false;
   std::uint64_t requesting_inputs_ = 0;           // this cycle (SingleRequest)
+  // Full state sweeps: the first stepped cycle >= next_sweep_ sweeps every
+  // output (kNoCycle under CounterPolicy::None, which never wraps);
+  // `unswept_` says a stepped cycle compared only granted outputs since the
+  // last sweep, so run() ends with one at `last_cycle_`.
+  Cycle next_sweep_ = kNoCycle;
+  Cycle last_cycle_ = 0;
+  bool unswept_ = false;
   // Progress guard, armed only for matching-engine configs (config.engine):
   // consecutive cycles with >= 1 request but zero grants switch-wide. An
   // honest engine matches at least one eligible pair per cycle (SW-QPS's
@@ -140,8 +173,11 @@ class DifferentialChecker {
   bool progress_guard_ = false;
   Cycle stall_streak_ = 0;
 
-  // Packet conservation, per flow.
+  // Packet conservation, per flow. `conservation_suspect_` is set when a
+  // buffered or delivered count moves past its bound; only then does
+  // end_cycle walk every flow.
   std::vector<std::uint64_t> created_, buffered_, delivered_;
+  bool conservation_suspect_ = false;
 
   // Circuit leg (constructed only when enabled). The request vector and
   // arbitration trace are reused across every grant check so the per-grant

@@ -85,9 +85,9 @@ class ReferenceOutput {
   [[nodiscard]] const core::SsvcParams& params() const noexcept {
     return params_;
   }
-  // (Inline: the differential checker reads these for every input of every
-  // output every cycle — together with lrg_rank they dominate campaign time
-  // when out-of-line.)
+  // (Inline: the differential checker's state compare reads these for every
+  // input of each output it compares — together with lrg_rank they dominate
+  // its time when out-of-line.)
   [[nodiscard]] std::uint64_t value(InputId i) const {
     SSQ_EXPECT(i < radix_);
     return value_[i];

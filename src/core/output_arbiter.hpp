@@ -104,7 +104,8 @@ class OutputQosArbiter {
     return alloc_;
   }
   // (Inline: the differential checker compares every input's counter state
-  // against the reference every cycle — these are its hottest reads.)
+  // against the reference at each granted output, and at every output on
+  // epoch-boundary cycles — these are its hottest reads.)
   [[nodiscard]] const AuxVc& aux_vc(InputId i) const {
     SSQ_EXPECT(i < radix_);
     return gb_vc_[i];

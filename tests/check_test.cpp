@@ -14,6 +14,7 @@
 #include "check/shrink.hpp"
 #include "check/trace.hpp"
 #include "sim/error.hpp"
+#include "traffic/flow.hpp"
 
 namespace ssq::check {
 namespace {
@@ -121,6 +122,123 @@ INSTANTIATE_TEST_SUITE_P(
                       PlantedBug::SkipEpochWrap,
                       PlantedBug::EngineStarve),
     [](const auto& pinfo) { return std::string(to_string(pinfo.param)); });
+
+// Every divergence each planted bug produces over a fixed set of generated
+// scenarios, as "index@cycle:output:kind" ("-" = no output). The deep state
+// compare is event-driven (granted outputs per cycle, full sweeps at epoch
+// boundaries); these are the divergences the sweep-every-output-every-cycle
+// checker reported, so the first broken cycle, output and kind may not move.
+std::string divergences_of(PlantedBug bug) {
+  CheckOptions opts;
+  opts.bug = bug;
+  std::ostringstream os;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    const RunResult r = run_scenario(generate_scenario(i, kCampaignSeed), opts);
+    if (!r.failed) continue;
+    os << i << '@' << r.fail_cycle << ':';
+    if (r.output == kNoPort) {
+      os << '-';
+    } else {
+      os << r.output;
+    }
+    os << ':' << r.kind << ' ';
+  }
+  return os.str();
+}
+
+TEST(Differential, PlantedBugsDivergeAtPinnedCycleOutputAndKind) {
+  EXPECT_EQ(divergences_of(PlantedBug::GbVtickOffByOne),
+            "1@1:13:state_mismatch 2@4:14:state_mismatch "
+            "6@0:1:state_mismatch 12@1056:1:state_mismatch "
+            "13@43:6:state_mismatch 14@9:2:state_mismatch "
+            "15@7:0:state_mismatch 17@6:6:state_mismatch "
+            "21@0:0:state_mismatch 22@14:1:state_mismatch "
+            "23@52:7:state_mismatch ");
+  EXPECT_EQ(divergences_of(PlantedBug::LrgNoMoveToBack),
+            "1@0:0:state_mismatch 2@0:28:state_mismatch "
+            "6@0:0:state_mismatch 12@0:1:state_mismatch "
+            "13@0:3:state_mismatch 14@0:1:state_mismatch "
+            "17@0:3:state_mismatch 20@18:1:state_mismatch "
+            "21@0:0:state_mismatch 22@0:3:state_mismatch "
+            "23@0:7:state_mismatch ");
+  EXPECT_EQ(divergences_of(PlantedBug::GlAllowanceOffByOne),
+            "12@537:4:missed_grant 17@1099:6:winner_mismatch "
+            "21@602:6:missed_grant 23@9:3:missed_grant ");
+  EXPECT_EQ(divergences_of(PlantedBug::SkipEpochWrap),
+            "2@32:14:state_mismatch 6@256:1:state_mismatch "
+            "12@1072:1:state_mismatch 13@64:6:state_mismatch "
+            "14@64:2:state_mismatch 15@256:0:state_mismatch "
+            "21@32:0:state_mismatch 22@64:1:state_mismatch ");
+  EXPECT_EQ(divergences_of(PlantedBug::EngineStarve),
+            "0@154:-:starvation 1@127:-:starvation 2@127:-:starvation "
+            "3@127:-:starvation 4@127:-:starvation 5@127:-:starvation "
+            "6@127:-:starvation 7@127:-:starvation 8@140:-:starvation "
+            "9@127:-:starvation 10@174:-:starvation 11@128:-:starvation "
+            "12@127:-:starvation 13@127:-:starvation 14@127:-:starvation "
+            "15@134:-:starvation 16@127:-:starvation 17@127:-:starvation "
+            "18@127:-:starvation 19@148:-:starvation 20@131:-:starvation "
+            "21@127:-:starvation 22@127:-:starvation 23@127:-:starvation ");
+}
+
+/// Radix-4 scenario whose only flow is BE from input 0 to output 1, so
+/// output 3 is never granted; epochs are 16 cycles. Stepped every cycle so
+/// epoch boundaries land on stepped cycles.
+Scenario one_flow_scenario(core::CounterPolicy policy) {
+  Scenario s;
+  s.name = "one_flow";
+  s.radix = 4;
+  s.ssvc.lsb_bits = 4;
+  s.ssvc.policy = policy;
+  s.fast_forward = false;
+  traffic::FlowSpec f;
+  f.src = 0;
+  f.dst = 1;
+  f.cls = TrafficClass::BestEffort;
+  f.len_min = f.len_max = 2;
+  f.inject_rate = 0.5;
+  s.flows.push_back(f);
+  return s;
+}
+
+TEST(Differential, FullSweepsCatchAWriteAtAnOutputNoGrantTouches) {
+  // With no fault injector attached nothing but a grant or an epoch wrap
+  // should move arbiter state, so a register write at an ungranted output
+  // is found only by the full sweeps: at the next epoch boundary...
+  {
+    const Scenario s = one_flow_scenario(core::CounterPolicy::SubtractRealClock);
+    ScenarioRun rig = instantiate(s);
+    DifferentialChecker checker(*rig.sim);
+    ASSERT_TRUE(checker.run(5));
+    rig.sim->qos_arbiter(3).aux_vc_mut(2).fault_flip_value(6);  // 0 -> 64
+    EXPECT_FALSE(checker.run(100));
+    ASSERT_TRUE(checker.divergence().has_value());
+    const Divergence& d = *checker.divergence();
+    EXPECT_EQ(d.kind, "state_mismatch");
+    EXPECT_EQ(d.cycle, 16u);
+    EXPECT_EQ(d.output, 3u);
+    EXPECT_NE(d.detail.find("auxVC[2] value: sim 48, ref 0"),
+              std::string::npos)
+        << d.detail;
+  }
+  // ...and, with no epoch wraps under CounterPolicy::None, at the end of
+  // run(): the last stepped cycle.
+  {
+    const Scenario s = one_flow_scenario(core::CounterPolicy::None);
+    ScenarioRun rig = instantiate(s);
+    DifferentialChecker checker(*rig.sim);
+    ASSERT_TRUE(checker.run(5));
+    rig.sim->qos_arbiter(3).aux_vc_mut(2).fault_flip_value(6);
+    EXPECT_FALSE(checker.run(100));
+    ASSERT_TRUE(checker.divergence().has_value());
+    const Divergence& d = *checker.divergence();
+    EXPECT_EQ(d.kind, "state_mismatch");
+    EXPECT_EQ(d.cycle, 104u);
+    EXPECT_EQ(d.output, 3u);
+    EXPECT_NE(d.detail.find("auxVC[2] value: sim 64, ref 0"),
+              std::string::npos)
+        << d.detail;
+  }
+}
 
 TEST(Shrink, OffByOneShrinksToATinyRepro) {
   CheckOptions opts;

@@ -27,7 +27,9 @@
 //
 // `--check[=PATH]` re-reads a committed baseline report and fails (exit 1)
 // if any throughput metric regressed by more than --tolerance (default
-// 0.25) or the per-step allocation count grew. When the baseline was
+// 0.25), the per-step allocation count grew, or a baseline metric is
+// missing from this run (only the parallel campaign point may be absent,
+// when it is skipped on purpose). When the baseline was
 // recorded on a different host (see the report's "host" block: cpu count,
 // compiler, flags, build type), throughput regressions are demoted to
 // warnings — timing comparisons across machines are not apples-to-apples —
@@ -92,7 +94,8 @@ Measures the hot-path metrics gated in CI and writes BENCH_hotpath.json.
                       measures the scalar kernel)
   --json=PATH         report path (default BENCH_hotpath.json)
   --check[=PATH]      compare against a baseline report (default: the
-                      report path) and exit 1 on regression; throughput
+                      report path) and exit 1 on regression or on a
+                      baseline metric this run did not measure; throughput
                       regressions are only warnings when the baseline's
                       "host" block differs from this machine
   --tolerance=F       allowed fractional throughput regression for --check
@@ -662,7 +665,8 @@ int main(int argc, char** argv) {
               << " scenarios/s (resume overhead x" << sps1 / sps_ckpt
               << " vs plain)\n";
     metrics.emplace_back("campaign_scenarios_per_sec_ckpt", sps_ckpt);
-    if (hw_threads > 1 && jobs > 1) {
+    const bool parallel_skipped = !(hw_threads > 1 && jobs > 1);
+    if (!parallel_skipped) {
       const double spsN = measure_campaign(scenarios, jobs);
       std::cout << "campaign at " << jobs << " threads: " << spsN
                 << " scenarios/s\n";
@@ -672,7 +676,7 @@ int main(int argc, char** argv) {
       // A single hardware thread cannot demonstrate parallel speedup;
       // pretending otherwise just records scheduler noise. Report the
       // honest job count and skip the parallel point (the --check gate
-      // skips metrics that are absent from the current run).
+      // forgives exactly this point's absence).
       std::cout << "campaign parallel point skipped ("
                 << hw_threads << " hardware thread(s), --jobs=" << jobs
                 << ")\n";
@@ -686,14 +690,24 @@ int main(int argc, char** argv) {
 
     // Regression gate: throughput metrics may not drop by more than
     // `tolerance` vs the baseline; the allocation count may not grow at
-    // all (it is a correctness-style claim, not a timing).
+    // all (it is a correctness-style claim, not a timing); and every
+    // baseline metric must still be measured — a dropped or renamed point
+    // fails instead of passing unchecked.
     int failures = 0;
     for (const auto& [name, base] : baseline) {
       double cur = -1.0;
       for (const auto& [n2, v2] : metrics) {
         if (n2 == name) cur = v2;
       }
-      if (cur < 0.0) continue;  // metric vanished or is campaign_jobs
+      if (cur < 0.0) {
+        if (parallel_skipped && (name == "campaign_jobs" ||
+                                 name == "campaign_scenarios_per_sec_jobsN")) {
+          continue;  // the parallel point was skipped on purpose
+        }
+        std::cout << "REGRESSION " << name << ": missing from this run\n";
+        ++failures;
+        continue;
+      }
       const bool is_throughput = name.find("cycles_per_sec") == 0 ||
                                  name.find("campaign_scenarios_per_sec") == 0 ||
                                  name.find("matchings_per_sec") == 0;
